@@ -27,6 +27,7 @@ the two columns swapped; the eight cases are enumerated by
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -349,7 +350,7 @@ class PolyhedronSpec:
                 )
         return out
 
-    @property
+    @functools.cached_property
     def flexion_interval(self) -> FlexionInterval:
         """Intersection of every juncture's feasible range.
 
@@ -358,6 +359,8 @@ class PolyhedronSpec:
         cos(2 theta) apart and pi/2 - theta when they are cos(2 theta)
         opposed.  For assemblies built here all constraints coincide with
         the seed's range; the intersection is still computed as a check.
+        Computed once per spec and cached; a spec derived with
+        ``dataclasses.replace`` is a new instance and computes its own.
         """
         bounds = [_abs_interval(flexion_range(self.seed), sigma=1)]
         for j, eff in enumerate(self.junctures):
@@ -376,8 +379,11 @@ class PolyhedronSpec:
             return FlexionInterval(-hi, hi, closed_lo=chi, closed_hi=chi)
         return FlexionInterval(lo, hi, closed_lo=clo, closed_hi=chi)
 
-    def theta_local(self, j: int, theta: float) -> float:
-        """The local half-angle at juncture j for a global theta."""
+    def theta_local(self, j: int, theta: float | np.ndarray) -> float | np.ndarray:
+        """The local half-angle at juncture j for a global theta.
+
+        ``theta`` may be a float or an array of angles.
+        """
         i_in, i_out = self.juncture_pair(j)
         sigma = -self.segments[i_in].orient.sign * self.segments[i_out].orient.sign
         return abs(theta) if sigma > 0 else math.pi / 2 - abs(theta)

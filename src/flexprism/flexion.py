@@ -8,6 +8,13 @@ the juncture edges and along the parallel edges all vary (non-constancy).
 those quantities from realized coordinates; the dihedral profile also
 carries the closed-form prediction for the juncture angles so the two
 routes can be compared.
+
+Both certificates take the sweep as a list of frames.  The rigidity
+report folds one frame at a time into running extremes, so its memory
+does not grow with the sweep; the dihedral profile stacks the frames and
+measures every wedge of the whole sweep in one broadcast, NaN exactly
+where a wedge or the closed form is undefined (see
+:class:`DihedralProfile`).
 """
 
 from __future__ import annotations
@@ -18,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import PolyhedronSpec
-from .errors import (
-    ClosureError,
-    DegenerateGeometryError,
-    FlexionRangeError,
-    FlexprismError,
-)
+from .errors import ClosureError, FlexionRangeError, FlexprismError
 from .geom import orientation_vectors, wedge_angle
 from .juncture import chain_vertices, dihedral_from_angles, symmetric_start
 from .params import JunctureType
@@ -163,34 +165,38 @@ class RigidityReport:
         return "\n".join(lines)
 
 
-_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+# The six vertex pairs (a, b) of a quad face, as two index columns.
+_PAIR_A, _PAIR_B = zip(*[(a, b) for a in range(4) for b in range(a + 1, 4)])
 
 
 def rigidity_report(frames: list[Frame], poly: PolyhedronSpec) -> RigidityReport:
     """Measure face and edge metric deviations across realized frames.
 
     Works from coordinates only, so it can also certify frames re-imported
-    from exported meshes.
+    from exported meshes.  Each frame is one (F, 6) gather of face vertex
+    pairs folded into running minima and maxima, so memory stays O(F)
+    whatever the number of frames.
     """
     if not frames:
         raise FlexprismError("rigidity report needs at least one frame")
     faces = poly.faces()
     edges = poly.edges()
-    face_lo = np.full(len(faces) * 6, np.inf)
-    face_hi = np.full(len(faces) * 6, -np.inf)
+    pair_a = faces[:, _PAIR_A]
+    pair_b = faces[:, _PAIR_B]
+    face_lo = np.full(pair_a.shape, np.inf)
+    face_hi = np.full(pair_a.shape, -np.inf)
     edge_dev = np.zeros(len(edges))
     ev_a = np.array([e[0] for e in edges])
     ev_b = np.array([e[1] for e in edges])
     ev_len = np.array([e[2] for e in edges])
     for fr in frames:
         verts = fr.vertices
-        for i, (a, b) in enumerate(_PAIRS):
-            d = np.linalg.norm(verts[faces[:, a]] - verts[faces[:, b]], axis=1)
-            face_lo[i::6] = np.minimum(face_lo[i::6], d)
-            face_hi[i::6] = np.maximum(face_hi[i::6], d)
+        d = np.linalg.norm(verts[pair_a] - verts[pair_b], axis=-1)
+        np.minimum(face_lo, d, out=face_lo)
+        np.maximum(face_hi, d, out=face_hi)
         measured = np.linalg.norm(verts[ev_a] - verts[ev_b], axis=1)
-        edge_dev = np.maximum(edge_dev, np.abs(measured - ev_len))
-    face_dev = (face_hi - face_lo).reshape(len(faces), 6).max(axis=1)
+        np.maximum(edge_dev, np.abs(measured - ev_len), out=edge_dev)
+    face_dev = (face_hi - face_lo).max(axis=1)
     return RigidityReport(
         face_deviation=face_dev,
         edge_deviation=edge_dev,
@@ -207,11 +213,16 @@ class DihedralProfile:
     """Juncture and parallel-edge dihedral angles across a sweep.
 
     ``epsilon[t, j, k]`` is the wedge angle measured from face normals at
-    edge k of juncture j (in (0, 2*pi)); ``epsilon_formula`` is the closed
+    edge k of juncture j (in [0, 2*pi)); ``epsilon_formula`` is the closed
     form folded into [0, pi].  ``delta[t, s, k]`` is the measured wedge
-    along parallel edge k of segment s.  Entries are NaN where the wedge is
-    undefined (degenerate faces); flat configurations give 0 or pi, not
-    NaN.
+    along parallel edge k of segment s.  Flat configurations give exactly
+    0 or pi, not NaN.  An entry is NaN exactly where it is undefined:
+
+    * a measured wedge whose edge has zero length (norm below 1e-300), or
+      where either face direction lies within 1e-12 of its own length of
+      the edge line (a collapsed face);
+    * a closed-form entry whose face angle is at 0 or pi, or whose local
+      half-angle is outside (-pi/2, pi/2) or outside the vertex's range.
     """
 
     thetas: np.ndarray
@@ -225,20 +236,31 @@ class DihedralProfile:
         return np.minimum(angles, 2.0 * math.pi - angles)
 
 
-def _face_wedge(
-    verts: np.ndarray, edge: tuple[int, int], face_a: np.ndarray, face_b: np.ndarray
-) -> float:
-    """Wedge between two faces sharing an edge, from realized coordinates."""
-    pa, pb = verts[edge[0]], verts[edge[1]]
-    mid = (pa + pb) / 2.0
-    try:
-        return wedge_angle(
-            pb - pa,
-            verts[face_a].mean(axis=0) - mid,
-            verts[face_b].mean(axis=0) - mid,
-        )
-    except DegenerateGeometryError:
-        return math.nan
+def _wedge_topology(poly: PolyhedronSpec) -> tuple[np.ndarray, ...]:
+    """Index arrays of every measured wedge, juncture edges first.
+
+    Returns (a, b, face_a, face_b), each of length J*N + S*N: the edge runs
+    from vertex a to vertex b and the wedge from face face_a to face
+    face_b.  Juncture j, position k is row j*N + k; segment s, position k
+    is row J*N + s*N + k.
+    """
+    n = poly.n
+    k = np.arange(n)
+    a, b, face_a, face_b = [], [], [], []
+    for j in range(len(poly.junctures)):
+        s_in, s_out = poly.juncture_pair(j)
+        ring = poly.juncture_ring(j)
+        a.append(ring * n + k)
+        b.append(ring * n + (k + 1) % n)
+        face_a.append(s_in * n + k)
+        face_b.append(s_out * n + k)
+    for s in range(poly.segment_count):
+        r1, r2 = poly.segment_rings(s)
+        a.append(r1 * n + k)
+        b.append(r2 * n + k)
+        face_a.append(s * n + (k - 1) % n)
+        face_b.append(s * n + k)
+    return tuple(np.concatenate(x) for x in (a, b, face_a, face_b))
 
 
 def dihedral_profiles(frames: list[Frame], poly: PolyhedronSpec) -> DihedralProfile:
@@ -248,49 +270,29 @@ def dihedral_profiles(frames: list[Frame], poly: PolyhedronSpec) -> DihedralProf
     and cross-checkable against ``epsilon_formula`` (the closed form fed
     with the juncture's effective angles and local half-angle).  The
     parallel-edge angles have no closed form here and are measured only.
+
+    The whole sweep is computed at once: the frames are stacked into one
+    (T, V, 3) array, every wedge is one broadcast over (T, edges) and the
+    closed form one broadcast over (T, J, N).  See
+    :class:`DihedralProfile` for where entries are NaN.
     """
     if not frames:
         raise FlexprismError("dihedral profiles need at least one frame")
-    n = poly.n
-    faces = poly.faces()
-    t_count, j_count, s_count = len(frames), len(poly.junctures), poly.segment_count
-    eps = np.full((t_count, j_count, n), np.nan)
-    eps_formula = np.full((t_count, j_count, n), np.nan)
-    delta = np.full((t_count, s_count, n), np.nan)
+    n, j_count, s_count = poly.n, len(poly.junctures), poly.segment_count
+    thetas = np.array([fr.theta for fr in frames])
+    verts = np.stack([fr.vertices for fr in frames])
+    a, b, face_a, face_b = _wedge_topology(poly)
+    centroids = verts[:, poly.faces()].mean(axis=2)
+    pa, pb = verts[:, a], verts[:, b]
+    mid = (pa + pb) / 2.0
+    wedges = wedge_angle(pb - pa, centroids[:, face_a] - mid, centroids[:, face_b] - mid)
 
-    def face_index(s: int, k: int) -> int:
-        return s * n + k
-
-    for t, fr in enumerate(frames):
-        verts = fr.vertices
-        for j in range(j_count):
-            s_in, s_out = poly.juncture_pair(j)
-            ring = poly.juncture_ring(j)
-            t_loc = poly.theta_local(j, fr.theta)
-            eff = poly.junctures[j]
-            for k in range(n):
-                k2 = (k + 1) % n
-                edge = (ring * n + k, ring * n + k2)
-                eps[t, j, k] = _face_wedge(
-                    verts, edge, faces[face_index(s_in, k)], faces[face_index(s_out, k)]
-                )
-                try:
-                    eps_formula[t, j, k] = dihedral_from_angles(
-                        eff.angles_u[k], eff.angles_w[k], t_loc
-                    )
-                except (FlexionRangeError, DegenerateGeometryError):
-                    pass
-        for s in range(s_count):
-            r1, r2 = poly.segment_rings(s)
-            for k in range(n):
-                km = (k - 1) % n
-                edge = (r1 * n + k, r2 * n + k)
-                delta[t, s, k] = _face_wedge(
-                    verts, edge, faces[face_index(s, km)], faces[face_index(s, k)]
-                )
+    angles_u = np.stack([eff.angles_u for eff in poly.junctures])
+    angles_w = np.stack([eff.angles_w for eff in poly.junctures])
+    t_loc = np.stack([poly.theta_local(j, thetas) for j in range(j_count)], axis=1)
     return DihedralProfile(
-        thetas=np.array([fr.theta for fr in frames]),
-        epsilon=eps,
-        epsilon_formula=eps_formula,
-        delta=delta,
+        thetas=thetas,
+        epsilon=wedges[:, : j_count * n].reshape(len(frames), j_count, n),
+        epsilon_formula=dihedral_from_angles(angles_u, angles_w, t_loc[:, :, None]),
+        delta=wedges[:, j_count * n :].reshape(len(frames), s_count, n),
     )

@@ -167,7 +167,9 @@ class FlexionInterval:
         return FlexionInterval(lo, hi, clo, chi)
 
 
-def wedge_angle(edge_dir: np.ndarray, into_a: np.ndarray, into_b: np.ndarray) -> float:
+def wedge_angle(
+    edge_dir: np.ndarray, into_a: np.ndarray, into_b: np.ndarray
+) -> float | np.ndarray:
     """Dihedral wedge angle in [0, 2*pi) around an edge.
 
     ``into_a`` and ``into_b`` point from the edge into the two adjacent
@@ -175,22 +177,36 @@ def wedge_angle(edge_dir: np.ndarray, into_a: np.ndarray, into_b: np.ndarray) ->
     angle is measured from a to b, counterclockwise around ``edge_dir``, so
     a consistent edge orientation yields profiles continuous in theta.
 
-    Raises DegenerateGeometryError when either face direction is parallel
-    to the edge (the wedge is undefined).
+    The wedge is undefined for a zero-length edge (norm below 1e-300) and
+    when either face direction lies within 1e-12 of its own length of the
+    edge line.  The arguments broadcast over leading axes, the last axis
+    holding the three components: given any leading axes the result is an
+    array with NaN where the wedge is undefined; given three (3,) vectors
+    it is a float, and an undefined wedge raises DegenerateGeometryError.
     """
     e = np.asarray(edge_dir, dtype=float)
-    en = np.linalg.norm(e)
-    if en < 1e-300:
-        raise DegenerateGeometryError("zero-length edge in dihedral measurement")
-    e = e / en
     da = np.asarray(into_a, dtype=float)
     db = np.asarray(into_b, dtype=float)
-    pa = da - (da @ e) * e
-    pb = db - (db @ e) * e
-    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
-    scale = max(np.linalg.norm(da), np.linalg.norm(db), 1e-300)
-    if na < 1e-12 * scale or nb < 1e-12 * scale:
+    en = np.linalg.norm(e, axis=-1, keepdims=True)
+    zero = en[..., 0] < 1e-300
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = e / en
+        pa = da - np.sum(da * e, axis=-1, keepdims=True) * e
+        pb = db - np.sum(db * e, axis=-1, keepdims=True) * e
+        na = np.linalg.norm(pa, axis=-1, keepdims=True)
+        nb = np.linalg.norm(pb, axis=-1, keepdims=True)
+        scale = np.maximum(
+            np.maximum(np.linalg.norm(da, axis=-1), np.linalg.norm(db, axis=-1)), 1e-300
+        )
+        parallel = (na[..., 0] < 1e-12 * scale) | (nb[..., 0] < 1e-12 * scale)
+        pa, pb = pa / na, pb / nb
+        ang = np.arctan2(np.sum(e * np.cross(pa, pb), axis=-1), np.sum(pa * pb, axis=-1))
+    ang = np.where(ang < 0, ang + 2 * math.pi, ang)
+    ang = np.where(zero | parallel, np.nan, ang)
+    if ang.ndim:
+        return ang
+    if zero:
+        raise DegenerateGeometryError("zero-length edge in dihedral measurement")
+    if parallel:
         raise DegenerateGeometryError("face direction parallel to edge; wedge undefined")
-    pa, pb = pa / na, pb / nb
-    ang = math.atan2(float(e @ np.cross(pa, pb)), float(pa @ pb))
-    return ang + 2 * math.pi if ang < 0 else ang
+    return float(ang)

@@ -206,7 +206,9 @@ def symmetric_start(p: JunctureParams, theta: float) -> np.ndarray:
     return np.array([0.0, 0.0, z1])
 
 
-def dihedral_from_angles(angle_u: float, angle_w: float, theta: float) -> float:
+def dihedral_from_angles(
+    angle_u: float | np.ndarray, angle_w: float | np.ndarray, theta: float | np.ndarray
+) -> float | np.ndarray:
     """Dihedral angle at a juncture edge from the closed form.
 
     The edge makes angles ``angle_u`` and ``angle_w`` with the two tube
@@ -224,27 +226,44 @@ def dihedral_from_angles(angle_u: float, angle_w: float, theta: float) -> float:
     which is exact at the flat endpoints where eps reaches 0 or pi (the
     arccos form loses half its digits there).  Returns eps in [0, pi].
 
-    Raises DegenerateGeometryError when either face angle is 0 or pi, and
-    FlexionRangeError when theta is outside the range where this vertex
-    closes (the naive |cos eps| would exceed 1).
+    The arguments broadcast against each other.  With any array argument
+    the result is an array, NaN wherever the dihedral is undefined.  With
+    three scalars the result is a float, and an undefined dihedral raises:
+    DegenerateGeometryError when either face angle is 0 or pi, and
+    FlexionRangeError when theta is outside (-pi/2, pi/2) or outside the
+    range where this vertex closes (the naive |cos eps| would exceed 1).
     """
-    if abs(math.sin(angle_u) * math.sin(angle_w)) < 1e-12:
+    au = np.asarray(angle_u, dtype=float)
+    aw = np.asarray(angle_w, dtype=float)
+    degenerate = np.abs(np.sin(au) * np.sin(aw)) < 1e-12
+    with np.errstate(invalid="ignore"):
+        t = np.abs(np.asarray(theta, dtype=float))
+        d = (au - aw) / 2.0
+        s = (au + aw) / 2.0
+        num = np.sin(t - d) * np.sin(t + d)
+        den = np.sin(s - t) * np.sin((np.pi - s) - t)
+        in_range = (t < np.pi / 2) & ~(num < -1e-12) & ~(den < -1e-12)
+        num, den = np.maximum(num, 0.0), np.maximum(den, 0.0)
+        # The z-step radicand factors as num*den/(sin^2 t cos^2 t) times the
+        # squared edge length; snap to flat on exactly the band where the
+        # chain realization snaps its radicand, so the two routes stay
+        # consistent.
+        flat = num * den <= _RADICAND_SLACK * (np.sin(t) * np.cos(t)) ** 2
+        eps = np.where(
+            flat,
+            np.where(num <= den, 0.0, np.pi),
+            2.0 * np.arctan2(np.sqrt(num), np.sqrt(den)),
+        )
+    eps = np.where(degenerate | ~in_range, np.nan, eps)
+    if eps.ndim:
+        return eps
+    if degenerate:
         raise DegenerateGeometryError("dihedral undefined: a face angle is at 0 or pi")
-    t = abs(check_theta(theta))
-    d = (angle_u - angle_w) / 2.0
-    s = (angle_u + angle_w) / 2.0
-    num = math.sin(t - d) * math.sin(t + d)
-    den = math.sin(s - t) * math.sin((math.pi - s) - t)
-    if num < -1e-12 or den < -1e-12:
+    check_theta(theta)
+    if not in_range:
         raise FlexionRangeError(
             f"no dihedral solves the vertex closure at theta = {theta!r}: "
-            f"the edge flexes only for |theta| in [{abs(d):.6g}, "
-            f"{min(s, math.pi - s):.6g}]"
+            f"the edge flexes only for |theta| in [{abs(float(d)):.6g}, "
+            f"{min(float(s), math.pi - float(s)):.6g}]"
         )
-    num, den = max(num, 0.0), max(den, 0.0)
-    # The z-step radicand factors as num*den/(sin^2 t cos^2 t) times the
-    # squared edge length; snap to flat on exactly the band where the chain
-    # realization snaps its radicand, so the two routes stay consistent.
-    if num * den <= _RADICAND_SLACK * (math.sin(t) * math.cos(t)) ** 2:
-        return 0.0 if num <= den else math.pi
-    return 2.0 * math.atan2(math.sqrt(num), math.sqrt(den))
+    return float(eps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from flexprism import (
     flexion_range,
     min_segment_length,
     offsets,
+    sweep,
     variant_tag,
 )
+import flexprism.assembly as assembly
 from conftest import CANONICAL, open_j2, open_j3, right_angle_juncture, torus_j4
 
 DEG = math.pi / 180.0
@@ -195,6 +198,29 @@ class TestBuildOpen:
         wrong = effective_juncture(p, Orientation.W_PLUS, Orientation.U_MINUS)
         with pytest.raises(FlexprismError, match="variant|reflection"):
             append_segment(poly, SegmentSpec("+u", 1.5), wrong)
+
+    def test_flexion_interval_computed_once_per_spec(self, monkeypatch):
+        poly = open_j3(CANONICAL[JunctureType.I_OEE]())
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return flexion_range(p)
+
+        monkeypatch.setattr(assembly, "flexion_range", counting)
+        # A replaced spec is a new instance without the cached interval,
+        # the way the CLI's --truncate derives one.
+        fresh = dataclasses.replace(poly, segments=poly.segments)
+        frames = sweep(fresh, 30)
+        assert len(frames) == 30
+        assert 0 < len(calls) <= len(fresh.junctures) + 1
+        assert fresh.flexion_interval == poly.flexion_interval
+
+        other = open_j3(CANONICAL[JunctureType.II_AEE]())
+        swapped = dataclasses.replace(poly, seed=other.seed, junctures=other.junctures)
+        assert swapped.flexion_interval == other.flexion_interval
+        assert swapped.flexion_interval != poly.flexion_interval
+        assert poly.flexion_interval == open_j3(CANONICAL[JunctureType.I_OEE]()).flexion_interval
 
     def test_flexion_interval_equals_seed(self):
         for make in CANONICAL.values():

@@ -12,13 +12,24 @@ from flexprism import (
     FlexionRangeError,
     FlexprismError,
     JunctureType,
+    SegmentSpec,
+    build_open,
+    build_torus,
     dihedral_profiles,
     realize,
     rigidity_report,
     sweep,
 )
+from flexprism.flexion import Frame
 from flexprism.geom import orientation_vectors
-from conftest import CANONICAL, open_j2, open_j3, right_angle_juncture, torus_j4
+from conftest import (
+    CANONICAL,
+    open_j2,
+    open_j3,
+    random_juncture,
+    right_angle_juncture,
+    torus_j4,
+)
 
 DEG = math.pi / 180.0
 
@@ -181,3 +192,186 @@ class TestDihedralProfiles:
         jumps = np.abs(np.diff(eps, axis=0))
         circular = np.minimum(jumps, 2 * math.pi - jumps)  # wedges wrap at 0/2pi
         assert np.nanmax(circular) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# Reference route: the per-edge loop that dihedral_profiles replaced, with
+# its scalar wedge and closed form, kept as they were.
+
+def _ref_wedge(edge_dir, into_a, into_b):
+    e = np.asarray(edge_dir, dtype=float)
+    en = np.linalg.norm(e)
+    if en < 1e-300:
+        return math.nan
+    e = e / en
+    da = np.asarray(into_a, dtype=float)
+    db = np.asarray(into_b, dtype=float)
+    pa = da - (da @ e) * e
+    pb = db - (db @ e) * e
+    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
+    scale = max(np.linalg.norm(da), np.linalg.norm(db), 1e-300)
+    if na < 1e-12 * scale or nb < 1e-12 * scale:
+        return math.nan
+    pa, pb = pa / na, pb / nb
+    ang = math.atan2(float(e @ np.cross(pa, pb)), float(pa @ pb))
+    return ang + 2 * math.pi if ang < 0 else ang
+
+
+def _ref_closed_form(angle_u, angle_w, theta):
+    if abs(math.sin(angle_u) * math.sin(angle_w)) < 1e-12:
+        return math.nan
+    if not (math.isfinite(theta) and -math.pi / 2 < theta < math.pi / 2):
+        return math.nan
+    t = abs(theta)
+    d = (angle_u - angle_w) / 2.0
+    s = (angle_u + angle_w) / 2.0
+    num = math.sin(t - d) * math.sin(t + d)
+    den = math.sin(s - t) * math.sin((math.pi - s) - t)
+    if num < -1e-12 or den < -1e-12:
+        return math.nan
+    num, den = max(num, 0.0), max(den, 0.0)
+    if num * den <= 1e-12 * (math.sin(t) * math.cos(t)) ** 2:
+        return 0.0 if num <= den else math.pi
+    return 2.0 * math.atan2(math.sqrt(num), math.sqrt(den))
+
+
+def _ref_face_wedge(verts, edge, face_a, face_b):
+    pa, pb = verts[edge[0]], verts[edge[1]]
+    mid = (pa + pb) / 2.0
+    return _ref_wedge(pb - pa, verts[face_a].mean(axis=0) - mid, verts[face_b].mean(axis=0) - mid)
+
+
+def _ref_profiles(frames, poly):
+    n = poly.n
+    faces = poly.faces()
+    t_count, j_count, s_count = len(frames), len(poly.junctures), poly.segment_count
+    eps = np.full((t_count, j_count, n), np.nan)
+    eps_formula = np.full((t_count, j_count, n), np.nan)
+    delta = np.full((t_count, s_count, n), np.nan)
+    for t, fr in enumerate(frames):
+        verts = fr.vertices
+        for j in range(j_count):
+            s_in, s_out = poly.juncture_pair(j)
+            ring = poly.juncture_ring(j)
+            t_loc = poly.theta_local(j, fr.theta)
+            eff = poly.junctures[j]
+            for k in range(n):
+                edge = (ring * n + k, ring * n + (k + 1) % n)
+                eps[t, j, k] = _ref_face_wedge(
+                    verts, edge, faces[s_in * n + k], faces[s_out * n + k]
+                )
+                eps_formula[t, j, k] = _ref_closed_form(eff.angles_u[k], eff.angles_w[k], t_loc)
+        for s in range(s_count):
+            r1, r2 = poly.segment_rings(s)
+            for k in range(n):
+                edge = (r1 * n + k, r2 * n + k)
+                delta[t, s, k] = _ref_face_wedge(
+                    verts, edge, faces[s * n + (k - 1) % n], faces[s * n + k]
+                )
+    return eps, eps_formula, delta
+
+
+def _random_polys():
+    rng = np.random.default_rng(20261017)
+    out = []
+    for kind in JunctureType:
+        seed = random_juncture(kind, 8, rng)
+        orients = ["-u", "+w", "-u", "-w", "+u"]
+        out.append((f"{kind.value}-n8-open5", build_open(
+            seed, [SegmentSpec(o, float(rng.uniform(1.5, 3.0))) for o in orients])))
+        out.append((f"{kind.value}-n8-torus8", build_torus(
+            seed, [SegmentSpec(("+u", "+w", "-u", "-w")[i % 4], 2.0) for i in range(8)])))
+    return out
+
+
+def _sweep_both_branches(poly, count):
+    """Frames over the interval, closed endpoints included, plus the mirror
+    branch -theta of every sample."""
+    thetas = poly.flexion_interval.samples(count)
+    return [realize(poly, t) for t in np.concatenate([thetas, -thetas])]
+
+
+class TestDihedralProfilesReference:
+    @pytest.mark.parametrize("name,poly", _all_polys() + _random_polys())
+    def test_agrees_with_per_edge_loop(self, name, poly):
+        interval = poly.flexion_interval
+        frames = _sweep_both_branches(poly, 7)
+        thetas = [fr.theta for fr in frames]
+        assert not interval.closed_lo or interval.lo in thetas
+        assert not interval.closed_hi or interval.hi in thetas
+        prof = dihedral_profiles(frames, poly)
+        for got, want in zip(
+            (prof.epsilon, prof.epsilon_formula, prof.delta), _ref_profiles(frames, poly)
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            both = ~np.isnan(want)
+            assert np.max(np.abs(got[both] - want[both]), initial=0.0) <= 1e-15
+        assert np.array_equal(prof.thetas, thetas)
+
+    @pytest.mark.parametrize("name,poly", _all_polys())
+    def test_flat_endpoints_exact(self, name, poly):
+        interval = poly.flexion_interval
+        assert interval.closed_lo and interval.closed_hi
+        formula = dihedral_profiles(sweep(poly, 5), poly).epsilon_formula
+        for t in (0, -1):
+            flat = (formula[t] == 0.0) | (formula[t] == math.pi)
+            assert flat.any()
+
+
+class TestDihedralNaNContract:
+    """A collapsed face makes exactly its four edges' wedges NaN."""
+
+    @staticmethod
+    def _collapse(poly, frame, s, k, how):
+        n = poly.n
+        r1, r2 = poly.segment_rings(s)
+        corners = [r1 * n + k, r1 * n + (k + 1) % n, r2 * n + (k + 1) % n, r2 * n + k]
+        verts = frame.vertices.copy()
+        p, q = verts[corners[0]], verts[corners[2]]
+        for i, v in enumerate(corners):
+            # "point": all four corners coincide (zero-length edges);
+            # "line": distinct corners on one line (face directions along
+            # the edges).
+            verts[v] = p if how == "point" else p + (q - p) * (i + 1) / 4.0
+        return Frame(theta=frame.theta, rings=verts.reshape(frame.rings.shape))
+
+    @pytest.mark.parametrize("how", ["point", "line"])
+    @pytest.mark.parametrize("build", [open_j3, torus_j4])
+    def test_collapsed_face(self, build, how):
+        poly = build(CANONICAL[JunctureType.II_AEE]())
+        n, s, k = poly.n, 1, 2
+        frames = sweep(poly, 5)
+        frames[3] = self._collapse(poly, frames[3], s, k, how)
+        prof = dihedral_profiles(frames, poly)
+
+        r1, r2 = poly.segment_rings(s)
+        want_eps = np.zeros(prof.epsilon.shape, dtype=bool)
+        for j in range(len(poly.junctures)):
+            if poly.juncture_ring(j) in (r1, r2):
+                want_eps[3, j, k] = True
+        want_delta = np.zeros(prof.delta.shape, dtype=bool)
+        want_delta[3, s, [k, (k + 1) % n]] = True
+        assert want_eps.sum() == 2
+        assert np.array_equal(np.isnan(prof.epsilon), want_eps)
+        assert np.array_equal(np.isnan(prof.delta), want_delta)
+        assert not np.isnan(prof.epsilon_formula).any()
+
+    def test_closed_form_undefined_at_half_turn(self):
+        # At theta = 0 the opposed junctures' local half-angle is pi/2,
+        # which the closed form rejects; the aligned ones are flat there.
+        # The right-angle chain keeps the closure radicand at exactly zero,
+        # so only the half-angle check can make these entries NaN.
+        poly = torus_j4(right_angle_juncture())
+        frame = sweep(poly, 3)[1]
+        frames = [Frame(theta=0.0, rings=frame.rings), frame]
+        prof = dihedral_profiles(frames, poly)
+        opposed = np.array([poly.theta_local(j, 0.0) == math.pi / 2
+                            for j in range(len(poly.junctures))])
+        assert opposed.any() and not opposed.all()
+        want = np.zeros(prof.epsilon_formula.shape, dtype=bool)
+        want[0, opposed] = True
+        assert np.array_equal(np.isnan(prof.epsilon_formula), want)
+        assert np.all(prof.epsilon_formula[0, ~opposed] == 0.0)
+        assert np.array_equal(np.isnan(_ref_profiles(frames, poly)[1]), want)
+        assert not np.isnan(prof.epsilon).any()

@@ -105,3 +105,24 @@ class TestWedgeAngle:
     def test_degenerate(self):
         with pytest.raises(DegenerateGeometryError):
             wedge_angle(np.array([0, 0, 1.0]), np.array([0, 0, 2.0]), np.array([1.0, 0, 0]))
+
+    def test_zero_length_edge(self):
+        with pytest.raises(DegenerateGeometryError, match="zero-length"):
+            wedge_angle(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+
+    def test_broadcast_matches_scalar_with_nan_where_undefined(self):
+        rng = np.random.default_rng(11)
+        e, a, b = rng.normal(size=(3, 5, 4, 3))
+        a[1, 2] = 3.0 * e[1, 2]  # face direction along the edge
+        e[3, 0] = 0.0  # zero-length edge
+        got = wedge_angle(e, a, b)
+        assert got.shape == (5, 4)
+        for idx in np.ndindex(5, 4):
+            try:
+                want = wedge_angle(e[idx], a[idx], b[idx])
+            except DegenerateGeometryError:
+                want = math.nan
+            assert got[idx] == want or (math.isnan(got[idx]) and math.isnan(want))
+        assert np.isnan(got).sum() == 2
+        # A single edge against many face directions broadcasts too.
+        assert wedge_angle(e[0, 0], a[0], b[0]).shape == (4,)

@@ -271,3 +271,25 @@ class TestDihedralFromAngles:
     def test_degenerate_face_angle(self):
         with pytest.raises(DegenerateGeometryError):
             dihedral_from_angles(1e-13, 1.0, 0.5)
+
+    def test_theta_outside_half_turn(self):
+        with pytest.raises(FlexionRangeError):
+            dihedral_from_angles(math.pi / 2, math.pi / 2, math.pi / 2)
+
+    def test_broadcast_matches_scalar_with_nan_where_undefined(self, rng):
+        au = rng.uniform(0.3, math.pi - 0.3, 6)
+        aw = rng.uniform(0.3, math.pi - 0.3, 6)
+        au[4] = 1e-13  # degenerate face angle
+        thetas = np.concatenate([rng.uniform(-1.5, 1.5, 7), [math.pi / 2, -math.pi / 2, 0.0]])
+        got = dihedral_from_angles(au, aw, thetas[:, None])
+        assert got.shape == (10, 6)
+        undefined = 0
+        for t, k in np.ndindex(10, 6):
+            try:
+                want = dihedral_from_angles(float(au[k]), float(aw[k]), float(thetas[t]))
+            except (FlexionRangeError, DegenerateGeometryError):
+                want = math.nan
+                undefined += 1
+            assert got[t, k] == want or (math.isnan(got[t, k]) and math.isnan(want))
+        assert 10 <= undefined < 60
+        assert np.isnan(got[:, 4]).all() and np.isnan(got[7:9]).all()
